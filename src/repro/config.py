@@ -10,19 +10,10 @@ n * beta``.
 
 from __future__ import annotations
 
-import os
-
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 __all__ = ["RuntimeConfig", "DEFAULT_CONFIG"]
-
-
-def _default_lockfree() -> str:
-    """Default for :attr:`RuntimeConfig.lockfree`: the ``REPRO_LOCKFREE``
-    environment variable, else ``auto``.  Env-driven so CI legs can force
-    the lock-free paths under the GIL without touching test code."""
-    return os.environ.get("REPRO_LOCKFREE", "auto")
 
 
 @dataclass(frozen=True)
@@ -82,10 +73,6 @@ class RuntimeConfig:
     #: Per-cell copy cost model (seconds + seconds/byte).
     shmem_alpha: float = 2.0e-7
     shmem_beta: float = 2.0e-11
-
-    #: Message sizes at or below this go through shmem eagerly in a
-    #: single cell; larger ones stream through multiple cells.
-    shmem_eager_threshold: int = 16384
 
     # ------------------------------------------------------------------
     # Simulated offload (GPU-like) copy engine.
@@ -148,31 +135,12 @@ class RuntimeConfig:
     #: Exposed so the fast-path benchmark can measure the seed behaviour.
     progress_registry_skip: bool = True
 
-    #: Lock-free hot paths: ``auto`` selects the sharded/SPSC
-    #: implementations (endpoint completion inboxes, shmem SPSC rings)
-    #: exactly when running on a free-threaded CPython build with the
-    #: GIL disabled; ``on``/``off`` force them.  The structures are
-    #: correct on either build — ``auto`` just avoids paying their
-    #: (tiny) bookkeeping where the GIL already serializes everything.
-    #: Defaults from the ``REPRO_LOCKFREE`` environment variable.
-    #: See :mod:`repro.util.lockfree` for the memory-model assumptions.
-    lockfree: str = field(default_factory=_default_lockfree)
-
     #: When True, ``stream_progress`` timestamps the stream-lock
     #: acquisition on every pass to maintain ``stat_lock_wait_s`` /
     #: ``stat_lock_acquires`` (the Fig. 9 causal measurement).  Off by
     #: default: the two clock reads are pure overhead on the uncontended
     #: hot path.  Benchmarks that report lock-wait series enable it.
     progress_lock_stats: bool = False
-
-    #: Batched-drain bound: one progress pass harvests at most this many
-    #: matured completions/arrivals per subsystem under a single lock
-    #: acquisition (``poll_batch``), and advances at most this many
-    #: collective schedules.  0 means unbounded (drain everything
-    #: matured).  The bound keeps a flooded VCI from monopolizing its
-    #: pool worker while still amortizing one lock round-trip per batch
-    #: instead of one per completion.
-    progress_batch_size: int = 64
 
     # ------------------------------------------------------------------
     # Wait backoff (MPI_Wait* completion loops).
@@ -182,10 +150,6 @@ class RuntimeConfig:
     #: catches imminent completions at minimum latency; the backoff keeps
     #: multi-thread-rank runs from burning whole cores on empty polls.
     wait_spin_count: int = 32
-
-    #: Once past the spin phase, yield the CPU on every Nth empty pass
-    #: (1 = every empty pass, matching the pre-backoff behaviour).
-    wait_yield_interval: int = 1
 
     # ------------------------------------------------------------------
     # Fault injection (lossy-fabric chaos; all off by default).
@@ -306,10 +270,6 @@ class RuntimeConfig:
     #: differential benchmarking of cold planning vs cached replay.
     schedule_cache_enabled: bool = True
 
-    #: LRU bound on cached plans per process; the least recently used
-    #: plan is evicted past this.
-    schedule_cache_max_plans: int = 128
-
     # ------------------------------------------------------------------
     # Multi-process fabric backend (procmod).
     # ------------------------------------------------------------------
@@ -418,19 +378,13 @@ class RuntimeConfig:
         return self.faults_active()
 
     def lockfree_active(self) -> bool:
-        """Whether the lock-free hot paths are selected (resolves 'auto').
+        """Whether the lock-free hot paths run: always True.
 
-        ``auto`` picks them exactly on free-threaded builds running with
-        the GIL disabled; dsched sweeps and the GIL-on CI leg force
-        ``on`` to exercise the same code under serialized execution.
+        The SPSC endpoint inboxes and shmem rings are the only runtime
+        path on every build; the method remains so host records that
+        report it keep working.
         """
-        if self.lockfree == "on":
-            return True
-        if self.lockfree == "off":
-            return False
-        from repro.util.lockfree import is_free_threaded
-
-        return is_free_threaded()
+        return True
 
     def detector_active(self) -> bool:
         """Whether the heartbeat failure detector runs (resolves 'auto')."""
@@ -470,12 +424,8 @@ class RuntimeConfig:
             raise ValueError("procmod_flush_bytes must be positive")
         if self.procmod_reaper_timeout <= 0:
             raise ValueError("procmod_reaper_timeout must be positive")
-        if self.progress_batch_size < 0:
-            raise ValueError("progress_batch_size must be >= 0 (0 = unbounded)")
         if self.wait_spin_count < 0:
             raise ValueError("wait_spin_count must be >= 0")
-        if self.wait_yield_interval <= 0:
-            raise ValueError("wait_yield_interval must be positive")
         for name in ("fault_drop_prob", "fault_dup_prob", "fault_reorder_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -503,8 +453,6 @@ class RuntimeConfig:
                         raise ValueError(f"unknown link fault knob {key!r}")
         if self.reliability not in ("auto", "on", "off"):
             raise ValueError(f"unknown reliability mode {self.reliability!r}")
-        if self.lockfree not in ("auto", "on", "off"):
-            raise ValueError(f"unknown lockfree mode {self.lockfree!r}")
         if self.rel_rto <= 0:
             raise ValueError("rel_rto must be positive")
         if self.rel_backoff < 1.0:
@@ -525,8 +473,6 @@ class RuntimeConfig:
             raise ValueError("buffer_pool_max_bytes must be >= 0")
         if not 1 <= self.buffer_pool_size_classes <= 32:
             raise ValueError("buffer_pool_size_classes must be in [1, 32]")
-        if self.schedule_cache_max_plans < 1:
-            raise ValueError("schedule_cache_max_plans must be >= 1")
         if self.allreduce_algorithm not in (
             "auto",
             "recursive_doubling",

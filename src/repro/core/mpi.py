@@ -364,14 +364,13 @@ class Proc:
         worlds jump to the next deadline, so tests stay instantaneous).
         On a real clock the loop spins through ``wait_spin_count``
         consecutive empty passes at full speed — an imminent completion
-        is caught at minimum latency — then yields the CPU every
-        ``wait_yield_interval``-th empty pass so co-located rank threads
-        are not starved by a hot wait loop.  Any progress, completion,
-        or virtual-time jump resets the backoff.
+        is caught at minimum latency — then yields the CPU on every
+        further empty pass so co-located rank threads are not starved by
+        a hot wait loop.  Any progress, completion, or virtual-time jump
+        resets the backoff.
         """
         cfg = self.config
         spin = cfg.wait_spin_count
-        interval = cfg.wait_yield_interval
         clock = self.clock
         idle = 0
         while not done():
@@ -384,7 +383,7 @@ class Proc:
                 idle = 0
                 continue
             idle += 1
-            if idle > spin and (idle - spin) % interval == 0:
+            if idle > spin:
                 clock.yield_cpu()
 
     def _finish_wait(self, request: Request) -> None:

@@ -53,6 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ProgressState", "ProgressEngine"]
 
+#: Batched-drain bound: one progress pass harvests at most this many
+#: matured completions/arrivals per subsystem (``poll_batch``) and
+#: advances at most this many collective schedules.  The bound keeps a
+#: flooded VCI from monopolizing its pool worker while still amortizing
+#: the per-pass overhead over a batch instead of one completion.
+PROGRESS_BATCH_SIZE = 64
+
 
 @dataclass
 class ProgressState:
@@ -84,8 +91,6 @@ class ProgressEngine:
         self._order: tuple[str, ...] = tuple(self.config.progress_order)
         self._short_circuit = self.config.progress_short_circuit
         self._registry_on = self.config.progress_registry_skip
-        #: batched-drain bound per subsystem poll (None = unbounded)
-        self._batch_k = self.config.progress_batch_size or None
         #: busy-check closures emit names in the canonical order; when
         #: the configured order matches, their result is polled directly
         self._canonical_order = self._order == (
@@ -114,13 +119,13 @@ class ProgressEngine:
         return self.proc.datatype_engine.progress()
 
     def _poll_collective(self, stream: MpixStream) -> bool:
-        return self.proc.coll_engine.progress(stream.vci, self._batch_k)
+        return self.proc.coll_engine.progress(stream.vci, PROGRESS_BATCH_SIZE)
 
     def _poll_shmem(self, stream: MpixStream) -> bool:
-        return self.proc.p2p.progress_shmem(stream.vci, self._batch_k)
+        return self.proc.p2p.progress_shmem(stream.vci, PROGRESS_BATCH_SIZE)
 
     def _poll_netmod(self, stream: MpixStream) -> bool:
-        return self.proc.p2p.progress_netmod(stream.vci, self._batch_k)
+        return self.proc.p2p.progress_netmod(stream.vci, PROGRESS_BATCH_SIZE)
 
     # ------------------------------------------------------------------
     # Pending-work registry.

@@ -382,6 +382,11 @@ def plan_barrier(rank: int, size: int) -> Plan:
 # Plan cache.
 # ----------------------------------------------------------------------
 
+#: LRU bound on cached plans per process context; the least recently
+#: used plan is evicted past this.
+PLAN_CACHE_MAX_PLANS = 128
+
+
 class PlanCache:
     """LRU cache of compiled plans, one per process context.
 
@@ -409,7 +414,9 @@ class PlanCache:
         "stat_invalidations",
     )
 
-    def __init__(self, *, enabled: bool = True, max_plans: int = 128) -> None:
+    def __init__(
+        self, *, enabled: bool = True, max_plans: int = PLAN_CACHE_MAX_PLANS
+    ) -> None:
         self.enabled = enabled
         self.max_plans = max_plans
         self._plans: OrderedDict[tuple, Plan] = OrderedDict()
@@ -422,10 +429,7 @@ class PlanCache:
 
     @classmethod
     def from_config(cls, config: "RuntimeConfig") -> "PlanCache":
-        return cls(
-            enabled=config.schedule_cache_enabled,
-            max_plans=config.schedule_cache_max_plans,
-        )
+        return cls(enabled=config.schedule_cache_enabled)
 
     def get_or_build(self, key: tuple, builder: Callable[[], Plan]) -> Plan:
         """Return the cached plan for ``key``, building it on a miss."""

@@ -12,39 +12,34 @@ at local time *t*
 * arrives at the target (packet visible to its ``poll``) at
   ``t + nic_wire_delay + n * nic_beta``.
 
-Thread model — two selectable implementations
-(``RuntimeConfig.lockfree``, resolved by ``lockfree_active()``):
+Thread model — lock-free hot paths.  Producers publish into SPSC inboxes
+and the consumer owns the heaps privately, so posting, delivery and
+polling take no endpoint lock at all (``_lock`` guards only the cold
+creation of a new per-source inbox).  The serialization argument, per
+location (see :mod:`repro.util.lockfree` for assumptions A1–A4):
 
-* **locked** (the default under the GIL): the two pending heaps share
-  one raw ``threading.Lock``, exactly the seed design.  Harvesting and
-  cross-thread delivery contend on it.
-* **lock-free** (default on free-threaded builds): producers publish
-  into SPSC inboxes and the consumer owns the heaps privately, so the
-  hot paths take no endpoint lock at all.  The serialization argument,
-  per location (see :mod:`repro.util.lockfree` for assumptions A1–A4):
+* *injection side* (``post_send``: ``_inflight`` staging via
+  ``_op_inbox``, ``_last_arrival``, ``stat_posted``/``stat_bytes``)
+  has a single producer — every injection path (isend, collectives,
+  RMA, acks) runs under the owning stream's lock;
+* *delivery side* (``enqueue_arrival``): one SPSC inbox per SOURCE
+  endpoint.  The producer for inbox ``src`` is whoever holds *src*'s
+  stream lock (the fabric delivers synchronously from the sender's
+  thread), so each inbox has exactly one producer;
+* *consumer side* (``poll_batch``): at most one thread polls an
+  endpoint at a time — the owning stream's lock serializes passes,
+  and ProgressPool's claim/release protocol serializes worker
+  handoffs (steal/return), providing the happens-before edge when
+  the consumer role migrates between workers.
 
-  - *injection side* (``post_send``: ``_inflight`` staging via
-    ``_op_inbox``, ``_last_arrival``, ``stat_posted``/``stat_bytes``)
-    has a single producer — every injection path (isend, collectives,
-    RMA, acks) runs under the owning stream's lock;
-  - *delivery side* (``enqueue_arrival``): one SPSC inbox per SOURCE
-    endpoint.  The producer for inbox ``src`` is whoever holds *src*'s
-    stream lock (the fabric delivers synchronously from the sender's
-    thread), so each inbox has exactly one producer;
-  - *consumer side* (``poll_batch``): at most one thread polls an
-    endpoint at a time — the owning stream's lock serializes passes,
-    and ProgressPool's claim/release protocol serializes worker
-    handoffs (steal/return), providing the happens-before edge when
-    the consumer role migrates between workers.
-
-  Conservation accounting stays exact *by construction*: a delivered
-  packet is counted by its inbox's single-writer ``pushed`` counter the
-  moment it is published, a harvested packet by the consumer-owned
-  ``stat_harvested``, and every pushed packet is either still in an
-  inbox, staged in the consumer's private heap, or harvested — so
-  ``delivered == harvested + arrivals_pending`` holds at every
-  scheduler yield point, however the drain is sliced and across
-  steal/return ownership moves.
+Conservation accounting stays exact *by construction*: a delivered
+packet is counted by its inbox's single-writer ``pushed`` counter the
+moment it is published, a harvested packet by the consumer-owned
+``stat_harvested``, and every pushed packet is either still in an
+inbox, staged in the consumer's private heap, or harvested — so
+``delivered == harvested + arrivals_pending`` holds at every
+scheduler yield point, however the drain is sliced and across
+steal/return ownership moves.
 """
 
 from __future__ import annotations
@@ -89,11 +84,10 @@ class Endpoint:
     """One injection/polling port on the fabric.
 
     Thread-safety: an endpoint may be polled by its owning stream while
-    remote ranks concurrently deliver packets to it.  In locked mode the
-    pending heaps share one lock; in lock-free mode deliveries land in
+    remote ranks concurrently deliver packets to it.  Deliveries land in
     per-source SPSC inboxes the consumer drains into private heaps (see
-    the module docstring).  Polling when idle is cheap either way: a
-    few integer reads, no lock.
+    the module docstring).  Polling when idle is cheap: one attribute
+    read, no lock.
     """
 
     __slots__ = (
@@ -101,17 +95,14 @@ class Endpoint:
         "_fabric",
         "_clock",
         "_lock",
-        "_lockfree",
         "_inflight",
         "_arrivals",
-        "_pending_count",
         "_last_arrival",
         "_op_inbox",
         "_arrival_inboxes",
         "_inbox_list",
         "_doorbell",
         "_ops_harvested",
-        "_stat_delivered",
         "stat_posted",
         "stat_bytes",
         "stat_polls",
@@ -124,50 +115,45 @@ class Endpoint:
         self.address = address
         self._fabric = fabric
         self._clock: Clock = fabric.clock
+        #: guards only the cold creation of a per-source arrival inbox
         self._lock = threading.Lock()
-        self._lockfree = fabric.config.lockfree_active()
-        #: locally posted ops ordered by completion deadline.  Locked
-        #: mode: shared under ``_lock``.  Lock-free mode: consumer-private
-        #: (fed from ``_op_inbox``).
+        #: locally posted ops ordered by completion deadline;
+        #: consumer-private (fed from ``_op_inbox``).
         self._inflight: list[NicOp] = []
         #: (arrival_time, seq, Packet) heap of packets en route to us;
-        #: same sharing discipline as ``_inflight``.
+        #: consumer-private (fed from the arrival inboxes).
         self._arrivals: list[tuple[float, int, Packet]] = []
-        self._pending_count = 0  # locked mode's lock-free idle check
         #: last scheduled arrival time per destination, enforcing FIFO
         #: (non-overtaking) delivery per (src, dst) endpoint pair even
         #: when a small message would otherwise "pass" a large one.
-        #: Injection-side state: single producer in lock-free mode.
+        #: Injection-side state: single producer.
         self._last_arrival: dict[tuple[int, int], float] = {}
-        #: lock-free mode: freshly posted ops awaiting staging into the
-        #: consumer's private ``_inflight`` heap
+        #: freshly posted ops awaiting staging into the consumer's
+        #: private ``_inflight`` heap
         self._op_inbox: SpscQueue[NicOp] = SpscQueue()
-        #: lock-free mode: one SPSC inbox per source endpoint address
+        #: one SPSC inbox per source endpoint address
         self._arrival_inboxes: dict[tuple[int, int], SpscQueue] = {}
         #: copy-on-write snapshot of the inboxes for consumer iteration
         #: and counter sums (published under ``_lock`` at creation only)
         self._inbox_list: tuple[SpscQueue, ...] = ()
-        #: lock-free mode's one-attribute-read idle signal.  Producers
-        #: store True AFTER publishing into an inbox (A3: the item is
-        #: visible to anyone who sees the flag); the consumer stores
-        #: False BEFORE draining and re-arms if staged-but-immature
-        #: items remain in its heaps.  A push racing the clear leaves
-        #: the flag True (one spurious empty poll, harmless); a lost
-        #: wakeup is impossible because every push is followed by a
-        #: True store and every clear by a full drain.
+        #: the one-attribute-read idle signal.  Producers store True
+        #: AFTER publishing into an inbox (A3: the item is visible to
+        #: anyone who sees the flag); the consumer stores False BEFORE
+        #: draining and re-arms if staged-but-immature items remain in
+        #: its heaps.  A push racing the clear leaves the flag True (one
+        #: spurious empty poll, harmless); a lost wakeup is impossible
+        #: because every push is followed by a True store and every
+        #: clear by a full drain.
         self._doorbell = False
-        #: lock-free mode: completions harvested (consumer-owned)
+        #: completions harvested (consumer-owned)
         self._ops_harvested = 0
         self.stat_posted = 0
         self.stat_bytes = 0
         self.stat_polls = 0
         self.stat_empty_polls = 0
-        #: packet copies the fabric enqueued here / packets harvested by
-        #: poll — the two sides of the dsched message-conservation
-        #: invariant (delivered == harvested + arrivals still queued).
-        #: Locked mode increments ``_stat_delivered`` under ``_lock``;
-        #: lock-free mode derives delivered from the inbox counters.
-        self._stat_delivered = 0
+        #: packets harvested by poll — with :attr:`stat_delivered` the
+        #: two sides of the dsched message-conservation invariant
+        #: (delivered == harvested + arrivals still queued).
         self.stat_harvested = 0
         #: poll_batch calls that returned at least one completion/packet
         self.stat_batch_harvests = 0
@@ -191,8 +177,7 @@ class Endpoint:
         or receiver-confirmed completion).  Anything else (a bare
         ``bytearray``) is snapshotted at post time.  When ``lease`` is
         given the packet retains it; the consumer releases after
-        dispatch.  The retain happens *before* the endpoint lock: the
-        pool lock may be a dsched yield point while ``_lock`` is raw.
+        dispatch.
         """
         cfg = self._fabric.config
         now = self._clock.now()
@@ -207,35 +192,19 @@ class Endpoint:
         deadline = now + cfg.nic_alpha + nbytes * cfg.nic_beta
         arrival = now + cfg.nic_wire_delay + nbytes * cfg.nic_beta
         op = NicOp(op_id, nbytes, deadline, context)
-        if self._lockfree:
-            # Injection-side state has one producer (the owning stream's
-            # lock serializes every post path), so no endpoint lock: the
-            # FIFO adjustment, the stat bumps and the op publication are
-            # plain single-writer stores (A2), and the op is visible to
-            # the consumer once pushed (A3).
-            prev = self._last_arrival.get(dst)
-            if prev is not None and arrival <= prev:
-                arrival = prev + 1e-12
-            self._last_arrival[dst] = arrival
-            self._op_inbox.push(op)
-            self.stat_posted += 1
-            self.stat_bytes += nbytes
-            self._doorbell = True
-        else:
-            # The FIFO arrival adjustment and the stat counters share
-            # the endpoint lock with the heaps: two threads posting
-            # towards the same destination must serialize the
-            # read-adjust-write of _last_arrival or both could compute
-            # the same arrival time (and drop counter increments).
-            with self._lock:
-                prev = self._last_arrival.get(dst)
-                if prev is not None and arrival <= prev:
-                    arrival = prev + 1e-12
-                self._last_arrival[dst] = arrival
-                heapq.heappush(self._inflight, op)
-                self._pending_count += 1
-                self.stat_posted += 1
-                self.stat_bytes += nbytes
+        # Injection-side state has one producer (the owning stream's
+        # lock serializes every post path), so no endpoint lock: the
+        # FIFO adjustment, the stat bumps and the op publication are
+        # plain single-writer stores (A2), and the op is visible to the
+        # consumer once pushed (A3).
+        prev = self._last_arrival.get(dst)
+        if prev is not None and arrival <= prev:
+            arrival = prev + 1e-12
+        self._last_arrival[dst] = arrival
+        self._op_inbox.push(op)
+        self.stat_posted += 1
+        self.stat_bytes += nbytes
+        self._doorbell = True
         packet = Packet(self.address, dst, dict(header), data, seq=op_id, lease=lease)
         _timers.post(self._clock, deadline, self.address[0], self.address[1], "nic_tx")
         self._fabric.deliver(packet, arrival)
@@ -261,21 +230,13 @@ class Endpoint:
         return inbox
 
     def enqueue_arrival(self, packet: Packet, arrival_time: float) -> None:
-        if self._lockfree:
-            # Single producer per source inbox: the fabric delivers on
-            # the sender's thread, under the sender's stream lock.  The
-            # inbox's ``pushed`` counter IS the delivered count for
-            # this link — bumped by ``push`` after the packet is
-            # published, so conservation sums are never early.
-            self._arrival_inbox(packet.src).push(
-                (arrival_time, packet.seq, packet)
-            )
-            self._doorbell = True
-        else:
-            with self._lock:
-                heapq.heappush(self._arrivals, (arrival_time, packet.seq, packet))
-                self._pending_count += 1
-                self._stat_delivered += 1
+        # Single producer per source inbox: the fabric delivers on the
+        # sender's thread, under the sender's stream lock.  The inbox's
+        # ``pushed`` counter IS the delivered count for this link —
+        # bumped by ``push`` after the packet is published, so
+        # conservation sums are never early.
+        self._arrival_inbox(packet.src).push((arrival_time, packet.seq, packet))
+        self._doorbell = True
         # Attributed to the *receiving* endpoint: its poll observes the
         # arrival when virtual time reaches ``arrival_time``.
         _timers.post(
@@ -290,7 +251,7 @@ class Endpoint:
 
         Returns ``(completions, packets)`` in deadline order.  Both are
         empty when nothing matured — the common idle case, which costs
-        a few lock-free counter reads.
+        one lock-free flag read.
         """
         return self.poll_batch(None)
 
@@ -298,56 +259,14 @@ class Endpoint:
         """Batched drain: up to ``max_k`` matured items per side (``None``
         = everything matured, the :meth:`poll` behaviour).
 
-        Locked mode does both drains under ONE lock acquisition; the
-        stat counters (``stat_harvested``) and the lock-free pending
-        count update inside the same critical section as the heap pops,
-        so a concurrent ``enqueue_arrival`` can never observe a window
-        where a packet is neither counted as queued nor as harvested —
-        the dsched message-conservation invariant stays exact however
-        the drain is sliced.
-
-        Lock-free mode first stages the SPSC inboxes into the
-        consumer's private heaps (preserving exact (time, seq) heap
-        order — fault-injected reorderings behave identically to locked
-        mode), then harvests matured items with no lock at all.  The
-        consumer-owned counters keep the same invariant exact.
+        First stages the SPSC inboxes into the consumer's private heaps
+        (preserving exact (time, seq) heap order, so fault-injected
+        reorderings replay identically), then harvests matured items
+        with no lock at all.  The consumer-owned counters keep the
+        dsched message-conservation invariant exact however the drain
+        is sliced.
         """
         self.stat_polls += 1
-        if self._lockfree:
-            return self._poll_batch_lockfree(max_k)
-        if self._pending_count == 0:
-            self.stat_empty_polls += 1
-            return [], []
-        now = self._clock.now()
-        completions: list[NicOp] = []
-        packets: list[Packet] = []
-        budget = max_k if max_k is not None else -1
-        with self._lock:
-            while self._inflight and self._inflight[0].deadline <= now:
-                if budget == 0:
-                    break
-                op = heapq.heappop(self._inflight)
-                op.completed = True
-                completions.append(op)
-                budget -= 1
-            budget = max_k if max_k is not None else -1
-            while self._arrivals and self._arrivals[0][0] <= now:
-                if budget == 0:
-                    break
-                _, _, packet = heapq.heappop(self._arrivals)
-                packets.append(packet)
-                budget -= 1
-            self.stat_harvested += len(packets)
-            self._pending_count = len(self._inflight) + len(self._arrivals)
-        if not completions and not packets:
-            self.stat_empty_polls += 1
-        else:
-            self.stat_batch_harvests += 1
-        return completions, packets
-
-    def _poll_batch_lockfree(
-        self, max_k: int | None
-    ) -> tuple[list[NicOp], list[Packet]]:
         if not self._doorbell:
             self.stat_empty_polls += 1
             return [], []
@@ -405,51 +324,42 @@ class Endpoint:
         return completions, packets
 
     # ------------------------------------------------------------------
-    # Accounting views (exact in both modes; see module docstring).
+    # Accounting views (exact; see module docstring).
     # ------------------------------------------------------------------
     @property
     def stat_delivered(self) -> int:
         """Packet copies enqueued at this endpoint (exact)."""
-        if self._lockfree:
-            return sum(inbox.pushed for inbox in self._inbox_list)
-        return self._stat_delivered
+        return sum(inbox.pushed for inbox in self._inbox_list)
 
     @property
     def pending(self) -> int:
         """Operations/arrivals not yet harvested (no locks taken)."""
-        if self._lockfree:
-            # Inlined (no nested property, no genexp): this is read by
-            # every idle-pass busy check, where allocation costs show.
-            n = self._op_inbox.pushed - self._ops_harvested - self.stat_harvested
-            for inbox in self._inbox_list:
-                n += inbox.pushed
-            return n
-        return self._pending_count
+        # Inlined (no nested property, no genexp): this is read by every
+        # idle-pass busy check, where allocation costs show.
+        n = self._op_inbox.pushed - self._ops_harvested - self.stat_harvested
+        for inbox in self._inbox_list:
+            n += inbox.pushed
+        return n
 
     def idle_probe(self):
         """A bound zero-arg busy check for the pending-work registry.
 
         Mirrors :meth:`ShmemTransport.idle_probe`: the idle pass is the
-        common case, so the probe is specialized per mode and costs one
-        attribute read either way.  The lock-free probe reads the
-        doorbell flag producers ring after publishing and the consumer
-        re-arms while immature work is staged — "False" really means
-        idle (A1/A3 staleness at worst delays one pass, same as the
-        locked counter read).
+        common case, so the probe costs one attribute read.  It reads
+        the doorbell flag producers ring after publishing and the
+        consumer re-arms while immature work is staged — "False" really
+        means idle (A1/A3 staleness at worst delays one pass).
         """
-        if not self._lockfree:
-            return lambda: self._pending_count > 0
         return lambda: self._doorbell
 
     @property
     def arrivals_pending(self) -> int:
-        """Delivered packets not yet harvested (conservation checking)."""
-        if self._lockfree:
-            # Exact by construction: every pushed packet is in an inbox,
-            # staged in the private heap, or counted harvested.
-            return self.stat_delivered - self.stat_harvested
-        with self._lock:
-            return len(self._arrivals)
+        """Delivered packets not yet harvested (conservation checking).
+
+        Exact by construction: every pushed packet is in an inbox,
+        staged in the private heap, or counted harvested.
+        """
+        return self.stat_delivered - self.stat_harvested
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Endpoint{self.address}(pending={self.pending})"

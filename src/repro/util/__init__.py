@@ -1,8 +1,7 @@
-"""Utility substrate: clocks, atomics, statistics, ring buffers, tracing."""
+"""Utility substrate: clocks, atomics, statistics, tracing."""
 
 from repro.util.atomic import AtomicCounter, AtomicFlag
 from repro.util.clock import Clock, MonotonicClock, VirtualClock, busy_wait_until
-from repro.util.ringbuf import RingBuffer
 from repro.util.stats import LatencyRecorder, Series, format_series_table
 from repro.util.trace import TraceEvent, Tracer
 
@@ -13,7 +12,6 @@ __all__ = [
     "MonotonicClock",
     "VirtualClock",
     "busy_wait_until",
-    "RingBuffer",
     "LatencyRecorder",
     "Series",
     "format_series_table",

@@ -2,8 +2,8 @@
 
 These are the free-threaded hot-path building blocks: a bounded SPSC
 ring (:class:`SpscRing`), an unbounded SPSC queue (:class:`SpscQueue`),
-and a per-thread sharded counter (:class:`ShardedCounter`).  The locked
-:class:`repro.util.ringbuf.RingBuffer` remains the executable reference
+and a per-thread sharded counter (:class:`ShardedCounter`).  A locked
+reference ring under ``tests/util/`` is the executable specification
 for differential testing (``tests/util/test_lockfree.py``).
 
 Memory model
@@ -74,9 +74,9 @@ def is_free_threaded() -> bool:
     """True when running on a free-threaded CPython with the GIL off.
 
     Uses ``sys._is_gil_enabled()`` (3.13+).  On GIL builds (or when a
-    free-threaded build runs with ``PYTHON_GIL=1``) this returns False:
-    the lock-free structures still *work* there, but ``auto`` mode only
-    selects them where they can actually scale.
+    free-threaded build runs with ``PYTHON_GIL=1``) this returns False.
+    The lock-free structures are the runtime's only hot paths on either
+    build; this only labels which interpreter produced a measurement.
     """
     check = getattr(sys, "_is_gil_enabled", None)
     if check is None:
@@ -100,7 +100,7 @@ class SpscRing(Generic[T]):
     so neither side ever takes a lock and neither index needs one.
 
     ``None`` is not a valid element (it marks empty slots), matching
-    the locked :class:`~repro.util.ringbuf.RingBuffer` contract.
+    the locked reference ring's contract.
     """
 
     __slots__ = ("_capacity", "_mask", "_slots", "_seq", "_head", "_tail")

@@ -13,6 +13,7 @@ from repro.bench.harness import (
     measure_task_class_latency,
 )
 from repro.bench.workloads import DummyTaskBatch
+from repro.util.clock import VirtualClock
 from repro.util.stats import LatencyRecorder
 
 
@@ -43,12 +44,34 @@ class TestDummyTaskBatch:
         deltas_b = [t - b._finish_times[0] for t in b._finish_times]
         assert deltas_a == pytest.approx(deltas_b, abs=1e-9)
 
-    def test_poll_delay_slows_response(self, proc):
-        rec = DummyTaskBatch(
-            proc, 4, poll_delay=100e-6, base_delay=100e-6
-        ).start().drive()
-        # with 4 tasks each poll pass burns >= ~300us before re-checking
-        assert rec.mean > 50e-6
+    @staticmethod
+    def _virtual_mean_latency(poll_delay, seeds):
+        """Mean completion latency of 4-task batches on virtual-clock
+        procs: exact, independent of host speed.  Each empty pass steps
+        the clock 1us so a ``poll_delay=0`` batch also reaches its
+        finish times."""
+        rec = LatencyRecorder()
+        for seed in seeds:
+            p = repro.init(clock=VirtualClock())
+            batch = DummyTaskBatch(
+                p, 4, poll_delay=poll_delay, base_delay=100e-6, seed=seed,
+                recorder=rec,
+            ).start()
+            while not batch.done:
+                p.stream_progress()
+                p.clock.advance(1e-6)
+            p.finalize()
+        return rec.mean
+
+    def test_poll_delay_slows_response(self):
+        # A single 4-task draw spans ~15-150us of mean latency with the
+        # delay on, so the batches of eight consecutive seeds are pooled.
+        seeds = range(8)
+        slow = self._virtual_mean_latency(100e-6, seeds)
+        fast = self._virtual_mean_latency(0.0, seeds)
+        # every pass polls each pending task for 100us before re-checking
+        assert slow > 50e-6
+        assert slow > fast
 
 
 class TestHarnessSmoke:

@@ -177,19 +177,17 @@ class TestBatchedDrain:
         assert len(packets) == 7
 
 
-@pytest.mark.parametrize("mode", ["off", "on"])
-class TestConservationBothModes:
-    """The locked and lock-free endpoints must satisfy the exact same
-    message-conservation invariant (delivered == harvested + in_flight)
-    at every batched drain slice, with identical delivery order."""
+class TestConservation:
+    """The endpoint's SPSC inboxes must keep the message-conservation
+    invariant (delivered == harvested + in_flight) exact at every
+    batched drain slice, with (time, seq) delivery order."""
 
-    def _fabric(self, mode, nranks=3):
+    def _fabric(self, nranks=3):
         clock = VirtualClock()
-        cfg = CFG.updated(lockfree=mode)
-        return Fabric(nranks, clock=clock, config=cfg), clock
+        return Fabric(nranks, clock=clock, config=CFG), clock
 
-    def test_conservation_over_batched_drain(self, mode):
-        fabric, clock = self._fabric(mode)
+    def test_conservation_over_batched_drain(self):
+        fabric, clock = self._fabric()
         src, dst = fabric.endpoint(0), fabric.endpoint(1)
         for i in range(6):
             src.post_send((1, 0), {"kind": "eager", "i": i}, b"x")
@@ -205,11 +203,10 @@ class TestConservationBothModes:
         assert dst.stat_harvested == 6
         assert dst.arrivals_pending == 0
 
-    def test_multi_source_merge_in_arrival_order(self, mode):
-        """Arrivals from several sources merge by (time, seq) exactly as
-        in the locked heap — the lock-free per-source inboxes must not
-        change observable delivery order."""
-        fabric, clock = self._fabric(mode)
+    def test_multi_source_merge_in_arrival_order(self):
+        """Arrivals from several sources merge by (time, seq): the
+        per-source inboxes must not change observable delivery order."""
+        fabric, clock = self._fabric()
         a, b, dst = fabric.endpoint(0), fabric.endpoint(1), fabric.endpoint(2)
         a.post_send((2, 0), {"kind": "eager", "tag": "a0"}, b"x" * 10)
         b.post_send((2, 0), {"kind": "eager", "tag": "b0"}, b"y" * 10)
@@ -223,8 +220,8 @@ class TestConservationBothModes:
         c = fabric.conservation_counts()
         assert c["delivered"] == c["harvested"] + c["in_flight"] == 3
 
-    def test_pending_counts_ops_and_arrivals(self, mode):
-        fabric, clock = self._fabric(mode)
+    def test_pending_counts_ops_and_arrivals(self):
+        fabric, clock = self._fabric()
         src = fabric.endpoint(0)
         src.post_send((1, 0), {"kind": "q"}, b"p")
         # One local completion pending at src, one arrival at dst.
@@ -236,8 +233,8 @@ class TestConservationBothModes:
         fabric.endpoint(1).poll()
         assert fabric.total_pending() == 0
 
-    def test_immature_arrivals_stay_pending(self, mode):
-        fabric, clock = self._fabric(mode)
+    def test_immature_arrivals_stay_pending(self):
+        fabric, clock = self._fabric()
         src, dst = fabric.endpoint(0), fabric.endpoint(1)
         src.post_send((1, 0), {"kind": "eager"}, b"abc")
         _, packets = dst.poll()  # wire delay not yet elapsed

@@ -22,7 +22,6 @@ class TestRoundtrip:
     def test_non_default_fields_survive(self):
         cfg = RuntimeConfig(
             eager_threshold=12345,
-            lockfree="on",
             reliability="on",
             rel_rto=0.25,
             ranks_per_node=3,

@@ -1,12 +1,13 @@
 """Lock-free SPSC structures and sharded counters.
 
 The differential property here is the load-bearing one: the locked
-:class:`repro.util.ringbuf.RingBuffer` is the executable specification,
+:class:`tests.util.ringbuf.RingBuffer` is the executable specification,
 and :class:`repro.util.lockfree.SpscRing` must agree with it on
 arbitrary push/pop interleavings.
 """
 
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from repro.util.lockfree import (
     SpscRing,
     is_free_threaded,
 )
-from repro.util.ringbuf import RingBuffer
+from tests.util.ringbuf import RingBuffer
 
 
 class TestSpscRing:
@@ -99,22 +100,31 @@ class TestSpscRing:
         n = 20_000
         received = []
 
+        # A failed push/pop yields (sleep(0)) instead of spinning: a
+        # spinning thread would hold the GIL for a whole switch interval
+        # every time the 8-slot ring fills or empties.
         def producer():
             i = 0
             while i < n:
                 if ring.try_push(i):
                     i += 1
+                else:
+                    time.sleep(0)
 
         def consumer():
             while len(received) < n:
                 v = ring.try_pop()
                 if v is not None:
                     received.append(v)
+                else:
+                    time.sleep(0)
 
         tp = threading.Thread(target=producer)
         tc = threading.Thread(target=consumer)
         tp.start(), tc.start()
         tp.join(30), tc.join(30)
+        assert not tp.is_alive(), "producer timed out"
+        assert not tc.is_alive(), "consumer timed out"
         assert received == list(range(n))
 
 

@@ -1,11 +1,12 @@
 """Bounded ring buffer: FIFO order, capacity, SPSC stress."""
 
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.ringbuf import RingBuffer
+from tests.util.ringbuf import RingBuffer
 
 
 class TestRingBuffer:
@@ -66,20 +67,29 @@ class TestRingBuffer:
         n = 20_000
         received = []
 
+        # A failed push/pop yields (sleep(0)) instead of spinning: a
+        # spinning thread would hold the GIL for a whole switch interval
+        # every time the 8-slot ring fills or empties.
         def producer():
             i = 0
             while i < n:
                 if ring.try_push(i):
                     i += 1
+                else:
+                    time.sleep(0)
 
         def consumer():
             while len(received) < n:
                 v = ring.try_pop()
                 if v is not None:
                     received.append(v)
+                else:
+                    time.sleep(0)
 
         tp = threading.Thread(target=producer)
         tc = threading.Thread(target=consumer)
         tp.start(), tc.start()
         tp.join(30), tc.join(30)
+        assert not tp.is_alive(), "producer timed out"
+        assert not tc.is_alive(), "consumer timed out"
         assert received == list(range(n))
